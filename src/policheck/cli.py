@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -176,6 +177,12 @@ def _bucket(value: int, top: int = 5) -> str:
     return str(value) if value < top else f"{top}+"
 
 
+def _percentile(values: List[float], p: float) -> float:
+    """Nearest-rank percentile of a non-empty list."""
+    ranked = sorted(values)
+    return ranked[max(0, math.ceil(p / 100.0 * len(ranked)) - 1)]
+
+
 def cmd_bench(args) -> int:
     manifest_path = Path(args.suite)
     if manifest_path.is_dir():
@@ -264,6 +271,12 @@ def cmd_bench(args) -> int:
             key: {
                 "count": len(rows),
                 "mean_wall_ms": round(sum(float(r["wall_ms"]) for r in rows) / len(rows), 4),
+                **{
+                    f"p{p}_wall_ms": round(
+                        _percentile([float(r["wall_ms"]) for r in rows], p), 4
+                    )
+                    for p in (50, 95, 99)
+                },
                 "oracle_calls": sum(int(r["oracle_calls"]) for r in rows),
                 "cache_hits": sum(int(r["cache_hits"]) for r in rows),
                 "mean_disj_after_split": round(
@@ -290,6 +303,8 @@ def cmd_bench(args) -> int:
         for key, row in report["ni_buckets"].items():
             print(
                 f"ni={key} count={row['count']} mean_wall_ms={row['mean_wall_ms']} "
+                f"p50_wall_ms={row['p50_wall_ms']} p95_wall_ms={row['p95_wall_ms']} "
+                f"p99_wall_ms={row['p99_wall_ms']} "
                 f"oracle_calls={row['oracle_calls']} cache_hits={row['cache_hits']} "
                 f"mean_disj_after_split={row['mean_disj_after_split']}"
             )

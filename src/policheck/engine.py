@@ -2,17 +2,25 @@
 
 An Engine is built once per (main KB, oracle) pair: the KB is partitioned,
 its name axioms are shifted into the oracle, and the signature-separation
-invariant is validated.  Each check then normalizes the left-hand policy,
-splits its intervals against the right-hand side, and pairs disjuncts
-through the structural check.
+invariant is validated.  Each check then normalizes the left-hand policy
+and plans its interval split against the right-hand side.
+
+With caches on (the default) the split is decided symbolically: for each
+left disjunct the structural recursion runs once per right disjunct over
+the disjunct's piece table, and the piece grid is walked for a combination
+no right disjunct covers (`sts.sts_covers`); no split copy is built.  With
+caches off the engine runs the paper's pipeline as published: it
+materializes the split and pairs every copy with the right-hand disjuncts
+through `sts_check`.  Both give the same answers, the same
+`disj_after_split` and the same split cap; debug mode runs both and
+compares them.
 
 Three caches keep the hot path cheap: a normalization-result cache keyed by
 the full left-hand policy (business-policy populations are small, so rules
 run once per distinct policy), plus two oracle-query caches for the
-normalization phase and the structural phase (interval splitting replicates
-concepts that differ only in their intervals, so most oracle queries are
-duplicates).  All caches are safe for concurrent checks; answers with
-caches enabled equal answers with caches disabled.
+normalization phase and the structural phase.  All caches are safe for
+concurrent checks; answers with caches enabled equal answers with caches
+disabled.
 """
 
 from __future__ import annotations
@@ -35,13 +43,15 @@ from .model import (
     signature,
 )
 from .normalize import (
+    grid_size,
     is_pair_interval_safe,
     normalize,
     normalize_full,
     split_intervals,
+    split_plan,
 )
 from .oracle import BuiltinOracle, OracleHandle, OracleOntology, QueryCache
-from .sts import sts_check
+from .sts import sts_check, sts_covers
 
 
 @dataclass(frozen=True)
@@ -191,6 +201,21 @@ class Engine:
         assert renorm == c, "structural check fed a non-normalized left-hand side"
         assert is_pair_interval_safe(c, d), "structural check fed an interval-unsafe pair"
 
+    def _pair_all(self, split: FullConcept, rhs: FullConcept) -> bool:
+        """The paper's pairing loop: every split copy passes the structural
+        check against some right-hand disjunct."""
+        for ci in split.disjuncts:
+            matched = False
+            for dj in rhs.disjuncts:
+                if self.config.debug_checks and not isinstance(ci, Bottom):
+                    self._debug_validate_pair(ci, dj)
+                if sts_check(ci, dj, self.oracle, self.sts_cache):
+                    matched = True
+                    break
+            if not matched:
+                return False
+        return True
+
     # -- public API ------------------------------------------------------
 
     def check(self, lhs: FullConcept, rhs: FullConcept) -> Tuple[bool, CheckStats]:
@@ -201,20 +226,22 @@ class Engine:
         hits0 = self._cache_hits_now()
 
         normalized, disj_before, norm_hit = self._normalized_lhs(lhs)
-        split = split_intervals(normalized, rhs, cap=self.config.split_cap)
-
-        answer = True
-        for ci in split.disjuncts:
-            matched = False
-            for dj in rhs.disjuncts:
-                if self.config.debug_checks and not isinstance(ci, Bottom):
-                    self._debug_validate_pair(ci, dj)
-                if sts_check(ci, dj, self.oracle, self.sts_cache):
-                    matched = True
-                    break
-            if not matched:
-                answer = False
-                break
+        if self.config.use_caches:
+            plan = split_plan(normalized, rhs, cap=self.config.split_cap)
+            disj_after_split = sum(grid_size(pieces) for _, pieces in plan)
+            answer = all(
+                sts_covers(c, pieces, rhs.disjuncts, self.oracle, self.sts_cache)
+                for c, pieces in plan
+            )
+            if self.config.debug_checks:
+                split = split_intervals(normalized, rhs, cap=self.config.split_cap)
+                assert self._pair_all(split, rhs) == answer, (
+                    "symbolic and materialized splitting disagree"
+                )
+        else:
+            split = split_intervals(normalized, rhs, cap=self.config.split_cap)
+            disj_after_split = len(split.disjuncts)
+            answer = self._pair_all(split, rhs)
 
         wall_ms = (time.perf_counter() - t0) * 1000.0
         stats = CheckStats(
@@ -224,7 +251,7 @@ class Engine:
             cache_hits=self._cache_hits_now() - hits0,
             disj_before=disj_before,
             disj_after_norm=len(normalized.disjuncts),
-            disj_after_split=len(split.disjuncts),
+            disj_after_split=disj_after_split,
             ni=_ni_of(normalized),
             norm_cache_hit=norm_hit,
         )

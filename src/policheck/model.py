@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Tuple
 
 U64_MAX = 2**64 - 1
@@ -260,11 +261,21 @@ class Signature:
             self.properties | other.properties,
         )
 
+    # The unions are built once per (frozen) signature: an oracle's
+    # signature is consulted on every check.
+    @cached_property
+    def _nonconcept_names(self) -> frozenset:
+        return self.roles | self.properties
+
+    @cached_property
+    def _names(self) -> frozenset:
+        return self.concepts | self._nonconcept_names
+
     def names(self) -> frozenset:
-        return self.concepts | self.roles | self.properties
+        return self._names
 
     def nonconcept_names(self) -> frozenset:
-        return self.roles | self.properties
+        return self._nonconcept_names
 
 
 def signature(x) -> Signature:

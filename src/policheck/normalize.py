@@ -17,13 +17,17 @@ Rules run innermost-first with the cheap syntactic rules before the
 oracle-backed rule 7; outputs are deterministic, which keeps cache keys
 stable.  Interval splitting then cuts every left-hand interval against the
 same-property intervals of the right-hand side so that each resulting pair
-is contained-or-disjoint (interval safe).
+is contained-or-disjoint (interval safe).  `split_plan` computes the cuts,
+the pieces of every interval-atom occurrence and the split cap once;
+`split_intervals` materializes the plan's copies, and the engine's symbolic
+check (`sts.sts_covers`) reads the plan without building them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ResourceLimitError
@@ -282,6 +286,38 @@ def _rebuild(c: SimpleConcept, chosen: Iterator[Interval]) -> SimpleConcept:
     return c
 
 
+def grid_size(pieces: Sequence[Sequence[Interval]]) -> int:
+    """Number of piece combinations: the disjuncts one planned disjunct splits into."""
+    return prod(len(p) for p in pieces)
+
+
+def split_plan(
+    lhs: FullConcept, rhs: FullConcept, *, cap: int = DEFAULT_SPLIT_CAP
+) -> List[Tuple[SimpleConcept, List[List[Interval]]]]:
+    """Per lhs disjunct, the pieces of each of its interval-atom occurrences.
+
+    Occurrences are indexed by preorder position (two equal atoms at two
+    positions are two occurrences); each interval is cut at the
+    same-property rhs bounds, so every piece is contained in or disjoint
+    from every rhs interval on its property.  Raises ResourceLimitError
+    when the pieces would combine into more than cap disjuncts.
+    """
+    cuts = _cut_points(rhs)
+    plan: List[Tuple[SimpleConcept, List[List[Interval]]]] = []
+    total = 0
+    for d in lhs.disjuncts:
+        atoms: List[IntervalAtom] = []
+        _collect_atoms(d, atoms)
+        pieces = [_pieces(a.iv, cuts.get(a.prop, ())) for a in atoms]
+        total += grid_size(pieces)
+        if total > cap:
+            raise ResourceLimitError(
+                f"interval splitting would produce more than {cap} disjuncts"
+            )
+        plan.append((d, pieces))
+    return plan
+
+
 def split_intervals(
     lhs: FullConcept, rhs: FullConcept, *, cap: int = DEFAULT_SPLIT_CAP
 ) -> FullConcept:
@@ -292,25 +328,9 @@ def split_intervals(
     interval safe with respect to rhs.  Raises ResourceLimitError when the
     expansion would exceed cap disjuncts.
     """
-    cuts = _cut_points(rhs)
-    if not cuts:
+    plan = split_plan(lhs, rhs, cap=cap)
+    if all(len(p) == 1 for _, pieces in plan for p in pieces):
         return lhs
-
-    plan: List[Tuple[SimpleConcept, List[List[Interval]]]] = []
-    total = 0
-    for d in lhs.disjuncts:
-        atoms: List[IntervalAtom] = []
-        _collect_atoms(d, atoms)
-        pieces = [_pieces(a.iv, cuts.get(a.prop, ())) for a in atoms]
-        count = 1
-        for p in pieces:
-            count *= len(p)
-        total += count
-        if total > cap:
-            raise ResourceLimitError(
-                f"interval splitting would produce more than {cap} disjuncts"
-            )
-        plan.append((d, pieces))
 
     out: List[SimpleConcept] = []
     for d, pieces in plan:

@@ -612,8 +612,11 @@ class ExternalOracle(OracleHandle):
         QUIT                                (no response)
 
     Requests are serialized over the single connection; a response timeout
-    converts hangs into OracleFailure.  The declared signature is trusted,
-    not verified.
+    converts hangs into OracleFailure.  After a timeout, a transport error
+    or an error response the handle is broken: the process is killed and
+    every later request raises OracleFailure, since a late reply to one
+    query would otherwise be read as the answer to the next.  The declared
+    signature is trusted, not verified.
     """
 
     def __init__(
@@ -627,6 +630,7 @@ class ExternalOracle(OracleHandle):
         self._sig = declared_signature
         self._timeout = timeout
         self._io_lock = threading.Lock()
+        self._broken: Optional[str] = None
         try:
             self._proc = subprocess.Popen(
                 argv,
@@ -650,22 +654,35 @@ class ExternalOracle(OracleHandle):
             pass
         self._lines.put(None)
 
+    def _break(self, reason: str) -> OracleFailure:
+        """Mark the handle unusable, kill the process; caller holds _io_lock."""
+        if self._broken is None:
+            self._broken = reason
+            self._proc.kill()
+        return OracleFailure(reason)
+
     def _request(self, line: str) -> str:
         with self._io_lock:
+            if self._broken is not None:
+                raise OracleFailure(f"oracle unusable after earlier failure: {self._broken}")
             if self._proc.poll() is not None:
-                raise OracleFailure("oracle process has exited")
+                raise self._break("oracle process has exited")
             try:
                 self._proc.stdin.write(line + "\n")
                 self._proc.stdin.flush()
             except (BrokenPipeError, ValueError, OSError) as exc:
-                raise OracleFailure(f"oracle transport error: {exc}") from exc
+                raise self._break(f"oracle transport error: {exc}") from exc
             try:
                 resp = self._lines.get(timeout=self._timeout)
             except Empty:
-                raise OracleFailure(f"oracle timed out after {self._timeout}s") from None
+                raise self._break(f"oracle timed out after {self._timeout}s") from None
             if resp is None:
-                raise OracleFailure("oracle closed its output stream")
+                raise self._break("oracle closed its output stream")
             return resp
+
+    def _reject(self, reason: str) -> OracleFailure:
+        with self._io_lock:
+            return self._break(reason)
 
     def query(self, q: OracleQuery) -> bool:
         self._count()
@@ -676,13 +693,13 @@ class ExternalOracle(OracleHandle):
             return True
         if resp == "0":
             return False
-        raise OracleFailure(f"oracle error response: {resp}")
+        raise self._reject(f"oracle error response: {resp}")
 
     def load_shifted(self, shifted: MainKB) -> "ExternalOracle":
         for ax in _shifted_axioms(shifted):
             resp = self._request("AX " + ax.to_line())
             if resp != "1":
-                raise OracleFailure(f"oracle rejected axiom {ax.to_line()!r}: {resp}")
+                raise self._reject(f"oracle rejected axiom {ax.to_line()!r}: {resp}")
         return self
 
     def signature(self) -> Signature:

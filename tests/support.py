@@ -6,8 +6,11 @@ spaces, so generated instances always satisfy the signature-separation
 invariant.
 """
 
+from itertools import product
+
 from policheck import (
     BOT,
+    Conj,
     Exists,
     FullConcept,
     HornAxiom,
@@ -18,6 +21,7 @@ from policheck import (
     OracleOntology,
     conj,
 )
+from policheck.model import interval_atom_count
 
 CONCEPTS = [f"A{i}" for i in range(10)]
 POLICY_ROLES = [f"r{i}" for i in range(4)]
@@ -146,3 +150,94 @@ def random_instance(rng, with_roles=True):
     lhs = random_full(rng, vocab=names)
     rhs = random_full(rng, vocab=names)
     return kb, onto, lhs, rhs
+
+
+def split_heavy_instance(rng):
+    """An instance whose left-hand side splits heavily: 1-2 disjuncts of up
+    to 4 interval-atom occurrences, some nested under existentials, some
+    repeating one atom value at two positions, some repeating the
+    non-functional property f0 in one conjunction.  Most right-hand
+    disjuncts are variants of left-hand ones: with moved intervals, or as
+    tiles cut apart at one or two occurrences, so that TRUE answers often
+    need several right-hand disjuncts to cover one left-hand disjunct."""
+    kb, onto, _, _ = random_instance(rng)
+    kb = MainKB(
+        func=kb.func - {"f0"},
+        ranges=kb.ranges,
+        inclusions=kb.inclusions,
+        disjointness=kb.disjointness,
+    )
+    names = CONCEPTS[:5]
+    roles = POLICY_ROLES[:2]
+
+    def atom(prop=None):
+        lo = rng.randint(0, 8)
+        return IntervalAtom(prop or rng.choice(PROPS), Interval(lo, lo + rng.randint(4, 14)))
+
+    def simple(k):
+        atoms = [atom() for _ in range(k)]
+        if k >= 2 and rng.random() < 0.4:
+            atoms[0], atoms[1] = atom("f0"), atom("f0")
+        parts = [Name(rng.choice(names))]
+        for a in atoms:
+            if rng.random() < 0.35:
+                parts.append(Exists(rng.choice(roles), conj([a, Name(rng.choice(names))])))
+            else:
+                parts.append(a)
+        if k < 4 and rng.random() < 0.4:
+            parts.append(Exists(rng.choice(roles), atoms[0]))
+        return conj(parts)
+
+    def moved(c):
+        if isinstance(c, IntervalAtom):
+            lo = max(0, c.iv.lo + rng.randint(-3, 5))
+            return IntervalAtom(c.prop, Interval(lo, max(lo, c.iv.hi + rng.randint(-5, 3))))
+        if isinstance(c, Exists):
+            return Exists(c.role, moved(c.filler))
+        if isinstance(c, Conj):
+            kept = [p for p in c.parts if rng.random() < 0.7] or [rng.choice(c.parts)]
+            return conj([moved(p) for p in kept])
+        return c
+
+    def tiles(c):
+        # copies of c, cut apart at one or two occurrences, that together
+        # cover c; one of them is sometimes left out
+        n = interval_atom_count(c)
+        targets = rng.sample(range(n), min(n, rng.randint(1, 2)))
+        mids = {t: rng.randint(2, 14) for t in targets}
+
+        def widened(c, upper, seen):
+            if isinstance(c, IntervalAtom):
+                i = len(seen)
+                seen.append(i)
+                if i not in mids:
+                    return IntervalAtom(c.prop, Interval(max(0, c.iv.lo - 1), c.iv.hi + 2))
+                mid = mids[i]
+                iv = Interval(mid + 1, 40) if upper[i] else Interval(0, mid)
+                return IntervalAtom(c.prop, iv)
+            if isinstance(c, Exists):
+                return Exists(c.role, widened(c.filler, upper, seen))
+            if isinstance(c, Conj):
+                return conj([widened(p, upper, seen) for p in c.parts])
+            return c
+
+        out = [
+            widened(c, dict(zip(targets, flags)), [])
+            for flags in product((False, True), repeat=len(targets))
+        ]
+        if rng.random() < 0.3:
+            out.pop(rng.randrange(len(out)))
+        return out
+
+    lhs = FullConcept(tuple(simple(rng.randint(1, 4)) for _ in range(rng.randint(1, 2))))
+    parts = []
+    want = rng.randint(1, 4)
+    while len(parts) < want:
+        roll = rng.random()
+        if roll < 0.4:
+            parts.extend(tiles(rng.choice(lhs.disjuncts)))
+        elif roll < 0.85:
+            parts.append(moved(rng.choice(lhs.disjuncts)))
+        else:
+            parts.append(simple(rng.randint(1, 2)))
+    return kb, onto, lhs, FullConcept(tuple(parts))

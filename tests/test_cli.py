@@ -266,3 +266,6 @@ def test_bench_accepts_suite_directory_and_threads(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["queries"] == 4
     assert report["mismatches"] == 0
+    for bucket in report["ni_buckets"].values():
+        assert bucket["p50_wall_ms"] <= bucket["p95_wall_ms"] <= bucket["p99_wall_ms"]
+        assert bucket["p99_wall_ms"] > 0.0

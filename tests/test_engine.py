@@ -7,9 +7,14 @@ from policheck import (
     BuiltinOracle,
     Engine,
     EngineConfig,
+    FullConcept,
+    Interval,
+    IntervalAtom,
     MainKB,
     OracleOntology,
+    ResourceLimitError,
     SignatureViolation,
+    conj,
     build_engine,
     normalize_full,
     parse_main_kb,
@@ -21,7 +26,7 @@ from policheck import (
 )
 from policheck.model import partition
 
-from support import random_full, random_instance
+from support import random_full, random_instance, split_heavy_instance
 
 GDPR_KB = """
 func has_purpose
@@ -296,3 +301,59 @@ def test_engine_matches_ref_on_random_instances():
         kb, onto, lhs, rhs = random_instance(rng)
         engine = Engine(kb, onto)
         assert engine.check(lhs, rhs)[0] == ref_decide(kb, onto, lhs, rhs)
+
+
+def test_symbolic_split_agrees_with_materialized_and_reference():
+    # cached engines decide the piece grid symbolically, uncached ones
+    # build every split copy, ref_decide evaluates canonical models
+    rng = random.Random(73)
+    answers = []
+    for _ in range(200):
+        kb, onto, lhs, rhs = split_heavy_instance(rng)
+        symbolic, _ = Engine(kb, onto).check(lhs, rhs)
+        materialized, _ = Engine(kb, onto, EngineConfig(use_caches=False)).check(lhs, rhs)
+        assert symbolic == materialized == ref_decide(kb, onto, lhs, rhs), (lhs, rhs)
+        answers.append(symbolic)
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_symbolic_split_reports_materialized_disjunct_count():
+    rng = random.Random(79)
+    for _ in range(100):
+        kb, onto, lhs, rhs = split_heavy_instance(rng)
+        engine = Engine(kb, onto)
+        _, stats = engine.check(lhs, rhs)
+        normalized, _ = normalize_full(lhs, engine.k_minus, engine.oracle)
+        assert stats.disj_after_split == len(split_intervals(normalized, rhs).disjuncts)
+
+
+def test_split_cap_is_the_same_on_both_paths():
+    # 3 atoms cut into 4 pieces each: a grid of 64
+    lhs = FullConcept((conj([IntervalAtom(f"p{i}", Interval(0, 39)) for i in range(3)]),))
+    cutters = [IntervalAtom(f"p{i}", Interval(10 * j, 10 * j + 9)) for i in range(3) for j in (1, 2)]
+    rhs = FullConcept((conj(cutters),))
+
+    def engine(**cfg):
+        return Engine(MainKB(), OracleOntology(()), EngineConfig(**cfg))
+
+    for use_caches in (True, False):
+        with pytest.raises(ResourceLimitError):
+            engine(use_caches=use_caches, split_cap=63).check(lhs, rhs)
+        answer, stats = engine(use_caches=use_caches, split_cap=64).check(lhs, rhs)
+        assert not answer and stats.disj_after_split == 64
+
+
+def test_symbolic_split_false_at_the_last_grid_point():
+    # f and g are each cut in two; the right-hand side covers every
+    # combination except (f 5..9, g 5..9), the last one in split order
+    engine = build_engine(MainKB(), OracleOntology(()))
+    uncached = build_engine(MainKB(), OracleOntology(()), EngineConfig(use_caches=False))
+    lhs = parse_policy("(and A (int f 0 9) (int g 0 9))")
+    rhs = parse_policy("(or (and A (int f 0 4)) (and (int f 5 9) (int g 0 4)))")
+    for e in (engine, uncached):
+        answer, stats = e.check(lhs, rhs)
+        assert not answer and stats.disj_after_split == 4
+    closed = parse_policy(
+        "(or (and A (int f 0 4)) (and (int f 5 9) (int g 0 4)) (int g 5 9))"
+    )
+    assert engine.check(lhs, closed)[0] and uncached.check(lhs, closed)[0]

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -98,6 +99,33 @@ def test_timeout_is_oracle_failure():
         with pytest.raises(OracleFailure) as err:
             handle.query(query_of({"A"}, {"B"}))
         assert "timed out" in str(err.value)
+    finally:
+        handle.close()
+
+
+def test_late_reply_after_timeout_is_never_read_as_an_answer():
+    # answers the first query late with 1 and every later one with 0
+    slow = (
+        "import sys, time\n"
+        "first = True\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == 'QUIT':\n"
+        "        break\n"
+        "    if first:\n"
+        "        time.sleep(0.6)\n"
+        "    print('1' if first else '0', flush=True)\n"
+        "    first = False\n"
+    )
+    handle = ExternalOracle([sys.executable, "-c", slow], timeout=0.3)
+    try:
+        with pytest.raises(OracleFailure):
+            handle.query(query_of({"A"}, {"B"}))
+        time.sleep(0.6)  # the late reply to the first query has arrived by now
+        with pytest.raises(OracleFailure):
+            handle.query(query_of({"C"}, {"D"}))
+        with pytest.raises(OracleFailure):
+            handle.load_shifted(MainKB(inclusions={("A", "B")}))
+        assert handle._proc.wait(timeout=5) is not None
     finally:
         handle.close()
 
